@@ -549,8 +549,8 @@ def _add_exec_mode_flag(p):
                    help="simulator execution mode for exec-mode-accepting "
                         "solvers: 'events' steps one block at a time, "
                         "'batch' fuses same-timestamp relaxation dispatches "
-                        "(bit-identical outputs, much faster; default "
-                        "'events'; see docs/simulator.md)")
+                        "(bit-identical outputs, no faster on the bench "
+                        "matrices; default 'events'; see docs/simulator.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -302,12 +302,10 @@ def solve_adds(
         # Warm start: seed the scheduler from the dirty frontier at its
         # warm distances.  base_dist is purely relative, so anchoring it
         # at the nearest frontier vertex avoids spinning through empty
-        # bands; push_slots_list maps each item to its physical slot
+        # bands; push_slots maps each item to its physical slot
         # under whichever policy (bucket / mlmq) is installed.
         queue.base_dist = float(frontier_dists.min())
-        slots = np.asarray(
-            queue.push_slots_list(frontier, frontier_dists), dtype=np.int64
-        )
+        slots = queue.push_slots(frontier, frontier_dists)
         for slot in np.unique(slots):
             mask = slots == slot
             verts = frontier[mask]

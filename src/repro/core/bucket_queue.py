@@ -71,6 +71,12 @@ class BucketQueue(WorkScheduler):
         )
         self._band_limit = self.n_buckets - 1
         self.max_rotate_burst = self.n_buckets - 1
+        # _slot_table[head][rel] = (head + rel) % n_buckets: one table per
+        # head position, so a push is one gather
+        bands = np.arange(self._band_limit + 1)
+        self._slot_table = [
+            (h + bands) % self.n_buckets for h in range(self.n_buckets)
+        ]
 
     # ------------------------------------------------------------------ #
     # priority mapping: band ``rel`` lives in physical slot
@@ -87,13 +93,8 @@ class BucketQueue(WorkScheduler):
     def _is_tail_slot(self, slot: int) -> bool:
         return (slot - self.head) % self.n_buckets == self.n_buckets - 1
 
-    def push_slots_list(self, vertices: np.ndarray, dists: np.ndarray) -> list:
-        head = self.head
-        nb = self.n_buckets
-        out = self.rel_bands_list(dists)
-        for i, r in enumerate(out):
-            out[i] = (head + r) % nb
-        return out
+    def push_slots(self, vertices: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        return self._slot_table[self.head][self.rel_bands_for(dists)]
 
     def head_slots(self):
         return (self.head,)

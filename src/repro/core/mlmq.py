@@ -87,17 +87,22 @@ class MLMQScheduler(WorkScheduler):
         # ``head`` (from the base class) is the circular index of the
         # current head *fine band*; one rotation slides one fine band
         self.max_rotate_burst = self.l0_bands - 1
+        # _slot_table[head][rel * qpb + q]: fine band rel < l0_bands lives
+        # in queue q of band (head + rel) % l0_bands; a coarse band
+        # ignores q.  One table per head position, so a push is one gather.
+        l0 = self.l0_bands
+        qpb = self.queues_per_band
+        rel = np.repeat(np.arange(self._band_limit + 1), qpb)
+        queue = np.tile(np.arange(qpb), self._band_limit + 1)
+        coarse = self._coarse_base + (rel - l0) // self.coarse_ratio
+        self._slot_table = [
+            np.where(rel < l0, (h + rel) % l0 * qpb + queue, coarse)
+            for h in range(l0)
+        ]
 
     # ------------------------------------------------------------------ #
     # band → physical slot mapping
     # ------------------------------------------------------------------ #
-
-    def _slot_of_band(self, rel: int, vertex: int) -> int:
-        qpb = self.queues_per_band
-        if rel < self.l0_bands:
-            band = (self.head + rel) % self.l0_bands
-            return band * qpb + vertex % qpb
-        return self._coarse_base + (rel - self.l0_bands) // self.coarse_ratio
 
     def rel_of(self, slot: int) -> int:
         if slot < self._coarse_base:
@@ -110,12 +115,13 @@ class MLMQScheduler(WorkScheduler):
         # bucket queue
         return slot == self.n_buckets - 1
 
-    def push_slots_list(self, vertices: np.ndarray, dists: np.ndarray) -> list:
-        out = self.rel_bands_list(dists)
-        verts = vertices.tolist()
-        for i, r in enumerate(out):
-            out[i] = self._slot_of_band(r, verts[i])
-        return out
+    def push_slots(self, vertices: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        # the queue within a fine band is picked by vertex hash
+        qpb = self.queues_per_band
+        idx = self.rel_bands_for(dists)
+        idx *= qpb
+        idx += vertices % qpb
+        return self._slot_table[self.head][idx]
 
     def head_slots(self):
         base = self.head * self.queues_per_band

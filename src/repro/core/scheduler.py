@@ -23,7 +23,7 @@ The split of responsibilities:
     :meth:`~WorkScheduler.snapshot`.
 
 Subclasses (the scheduling *policy*)
-    How distances map to physical slots (:meth:`~WorkScheduler.push_slots_list`),
+    How distances map to physical slots (:meth:`~WorkScheduler.push_slots`),
     which slots the MTB scans and in what priority order
     (:meth:`~WorkScheduler.assign_slots`), which slots form the current
     head band (:meth:`~WorkScheduler.head_slots`), and what
@@ -97,7 +97,7 @@ class WorkScheduler:
         lap itself).
 
     and implement the policy hooks :meth:`rel_of`, :meth:`_is_tail_slot`,
-    :meth:`push_slots_list`, :meth:`head_slots`, :meth:`assign_slots`,
+    :meth:`push_slots`, :meth:`head_slots`, :meth:`assign_slots`,
     :meth:`seed_slot`, and :meth:`rotate`.
     """
 
@@ -227,8 +227,11 @@ class WorkScheduler:
         tail-push fraction (its clip guard, §5.5)."""
         raise NotImplementedError
 
-    def push_slots_list(self, vertices: np.ndarray, dists: np.ndarray) -> list:
-        """Physical destination slot for each pushed item (hot WTB path)."""
+    def push_slots(self, vertices: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        """Physical destination slot (int64 array) for each pushed item.
+
+        Vectorized over the whole batch: the WTB maps all of a
+        dispatch's relaxation winners in one call (hot path)."""
         raise NotImplementedError
 
     def head_slots(self) -> Tuple[int, ...]:
@@ -256,71 +259,25 @@ class WorkScheduler:
     # priority-band mapping (shared; parameterized by ``_band_limit``)
     # ------------------------------------------------------------------ #
 
-    def _clip_bands(self, raw: list) -> list:
-        """Clamp raw band indices into ``[0, _band_limit]`` in place,
-        counting clips — the one scalar clip rule shared by
-        :meth:`rel_bands_for`'s single-item path and
-        :meth:`rel_bands_list` (§5.5 / Figure 6(b): below-window clips
-        to the head band, beyond-window clips to the tail band)."""
-        limit = self._band_limit
-        for i, r in enumerate(raw):
-            r = int(r)
-            if r < 0:
-                self.low_clips += 1
-                r = 0
-            elif r > limit:
-                self.high_clips += 1
-                r = limit
-            raw[i] = r
-        return raw
-
     def rel_bands_for(self, dists: np.ndarray) -> np.ndarray:
         """Band index (0 = head) for each distance, with clipping.
 
         Below-window distances clip to the head band (work spawned for an
         already-rotated band, §5.4); beyond-window distances clip to the
         tail band (Figure 6(b)).  Clip counts feed the Δ controller.
+
+        The division stays the ``np.floor_divide`` kernel: its
+        fmod-corrected floor division differs from ``floor(a / b)`` at
+        band boundaries.  Clipping happens on the float quotients, before
+        the int64 cast, so a far-out distance cannot overflow the cast.
         """
         limit = self._band_limit
-        if dists.size == 1:
-            # scalar path: one ufunc dispatch instead of three full-array
-            # ones (the modal WTB push is one winner).  Must stay the
-            # numpy kernel — its fmod-corrected floor division differs
-            # from floor(a/b) at band boundaries.
-            r = self._clip_bands(
-                [np.floor_divide(dists.item() - self.base_dist, self.delta)]
-            )[0]
-            return np.array([r], dtype=np.int64)
-        rel = np.floor_divide(dists - self.base_dist, self.delta).astype(np.int64)
-        if 0 <= int(rel.min()) and int(rel.max()) <= limit:
-            return rel  # common case: nothing clips
-        # vectorized variant of the _clip_bands rule, same counts
-        low = rel < 0
-        high = rel > limit
-        n_low = int(np.count_nonzero(low))
-        n_high = int(np.count_nonzero(high))
-        if n_low:
-            self.low_clips += n_low
-            rel[low] = 0
-        if n_high:
-            self.high_clips += n_high
-            rel[high] = limit
-        return rel
-
-    def rel_bands_list(self, dists: np.ndarray) -> list:
-        """:meth:`rel_bands_for` as a plain list (hot WTB push path).
-
-        The WTB groups its pushes with scalar code, so handing it a list
-        skips the int64 cast, the min/max early-out reduction and the
-        clip masks of the array variant.  The division itself stays the
-        ``np.floor_divide`` kernel (same boundary semantics); its float
-        results are integral and far below 2**53, so ``int()`` on them
-        is exact, and clips are counted per element exactly as the array
-        variant counts them.
-        """
-        return self._clip_bands(
-            np.floor_divide(dists - self.base_dist, self.delta).tolist()
-        )
+        rel = np.floor_divide(dists - self.base_dist, self.delta)
+        if rel.min() < 0 or rel.max() > limit:
+            self.low_clips += int(np.count_nonzero(rel < 0))
+            self.high_clips += int(np.count_nonzero(rel > limit))
+            np.clip(rel, 0, limit, out=rel)
+        return rel.astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # writer (WTB) side

@@ -33,6 +33,7 @@ the simulated outputs bit-identical between them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,7 +271,7 @@ def wtb_program(state, wid: int, kernel=None, coord=None):
     # Hoisted hot-path lookups: this loop body runs once per assignment,
     # tens of thousands of times per solve.
     trace_on = tracer.enabled
-    push_slots_list = q.push_slots_list
+    push_slots = q.push_slots
     reserve = q.reserve
     capacity = q.capacity
     publish = q.publish
@@ -303,27 +304,26 @@ def wtb_program(state, wid: int, kernel=None, coord=None):
         # ---- publication at batch completion ---------------------------------
         if nw:
             new_d = dist[new_v]
-            slots_l = push_slots_list(new_v, new_d)
+            slots = push_slots(new_v, new_d)
             push_cost = 0.0
-            s0 = slots_l[0]
-            if nw == 1 or slots_l.count(s0) == nw:
+            # group by physical slot, ascending (reserve/publish order is
+            # protocol-visible); the stable sort keeps push order within
+            # a slot, so each group is a contiguous slice of the sorted
+            # batch, cut where the slot changes
+            order = slots.argsort(kind="stable")
+            sl = slots[order].tolist()
+            if sl[0] == sl[-1]:
                 # common case: the whole batch lands in one slot
-                groups = ((s0, new_v, new_d),)
+                groups = ((sl[0], new_v, new_d),)
             else:
-                # group by physical slot, ascending (reserve/publish
-                # order is protocol-visible): a scalar pass beats
-                # per-slot boolean masks at these batch sizes
-                by_slot: dict = {}
-                for pos, s in enumerate(slots_l):
-                    bucket = by_slot.get(s)
-                    if bucket is None:
-                        by_slot[s] = [pos]
-                    else:
-                        bucket.append(pos)
-                groups = tuple(
-                    (s, new_v[pos], new_d[pos])
-                    for s, pos in sorted(by_slot.items())
-                )
+                new_v = new_v[order]
+                new_d = new_d[order]
+                groups = []
+                a = 0
+                while a < nw:
+                    b = bisect_right(sl, sl[a], a)
+                    groups.append((sl[a], new_v[a:b], new_d[a:b]))
+                    a = b
             for s, vs, ds in groups:
                 kk = int(vs.size)
                 idx0 = reserve(s, kk)

@@ -300,6 +300,8 @@ def from_edge_list(
             raise GraphConstructionError("edge destination out of range")
     if negate_negative_weights:
         w = np.abs(w)
+    wdt = np.dtype(dtype)
+    _check_weights(src, dst, w, wdt)
     if dedupe and arr.shape[0]:
         key = src * num_vertices + dst
         order = np.lexsort((w, key))
@@ -314,7 +316,6 @@ def from_edge_list(
     counts = np.bincount(src, minlength=num_vertices).astype(np.int64)
     ro = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=ro[1:])
-    wdt = np.dtype(dtype)
     if wdt == np.dtype(np.int32):
         wout = np.rint(w).astype(np.int32)
     elif wdt == np.dtype(np.float32):
@@ -327,6 +328,33 @@ def from_edge_list(
         weights=wout,
         name=name,
     )
+
+
+def _check_weights(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, wdt: np.dtype
+) -> None:
+    """Reject weights the ``wdt`` storage cannot hold, naming the first
+    offending input edge, before any cast can warn or wrap."""
+
+    def fail(bad: np.ndarray, fault: str) -> None:
+        i = int(bad.argmax())
+        raise GraphConstructionError(
+            f"edge {i} ({src[i]}->{dst[i]}): weight {float(w[i])} {fault}"
+        )
+
+    bad = ~np.isfinite(w)
+    if bad.any():
+        fail(bad, "is NaN" if np.isnan(w[bad.argmax()]) else "is infinite")
+    if wdt == np.dtype(np.int32):
+        info = np.iinfo(np.int32)
+        r = np.rint(w)
+        out = (r < info.min) | (r > info.max)
+        if out.any():
+            fail(out, "is outside the int32 range; build with dtype='float32'")
+    elif wdt == np.dtype(np.float32):
+        out = np.abs(w) > np.finfo(np.float32).max
+        if out.any():
+            fail(out, "is outside the float32 range")
 
 
 def expand_frontier(

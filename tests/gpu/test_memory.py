@@ -108,6 +108,45 @@ class TestAtomicMinBatch:
         mem.atomic_min_batch(dist, idx, vals)
         assert np.allclose(dist, expect)
 
+    @pytest.mark.parametrize(
+        "n", [11, 12, 13, 14, 15, 16, 17, 18, 31, 32, 33, 34]
+    )
+    def test_winners_match_atomicmin_rule(self, mem, n):
+        """Both paths (scalar at n <= 16, vectorized above) against a
+        scalar reference of the atomicMin winner rule of gardenia's
+        ``sssp_wlw.h``: a thread wins iff ``altdist < atomicMin(&d, altdist)``.
+        The reference runs the threads best-first (by value, then by
+        position), the schedule the batch semantics pin: per index the
+        first entry holding the minimum wins, if it improves on the
+        pre-batch value.  Small value ranges force duplicate indices and
+        ties, both among entries and with the pre-batch value."""
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            idx = rng.integers(0, max(2, n // 3), size=n)
+            vals = rng.integers(0, 6, size=n).astype(np.float64)
+            dist = rng.integers(0, 6, size=idx.max() + 1).astype(np.float64)
+            payload = np.arange(n, dtype=np.int64)
+            pred = np.full(dist.size, -1, dtype=np.int64)
+
+            ref_dist = dist.copy()
+            ref_pred = pred.copy()
+            ref_win = np.zeros(n, dtype=bool)
+            for i in sorted(range(n), key=lambda i: (vals[i], i)):
+                j = idx[i]
+                if vals[i] < ref_dist[j]:
+                    old = ref_dist[j]
+                    ref_dist[j] = min(old, vals[i])
+                    if vals[i] < old:
+                        ref_win[i] = True
+                        ref_pred[j] = payload[i]
+
+            win = mem.atomic_min_batch(
+                dist, idx, vals, payload=payload, payload_out=pred
+            )
+            np.testing.assert_array_equal(win, ref_win)
+            np.testing.assert_array_equal(dist, ref_dist)
+            np.testing.assert_array_equal(pred, ref_pred)
+
     @pytest.mark.parametrize("sizes", [(3, 5), (20, 30), (30, 40, 50)])
     def test_fused_call_contract(self, mem, sizes):
         """One call over a disjoint-across-sub-batch concatenation must be

@@ -52,6 +52,40 @@ class TestFromEdgeList:
         g = from_edge_list(2, [(0, 1, -5)], negate_negative_weights=True)
         assert g.weights[0] == 5
 
+    # Weight faults: each gets its own diagnostic, raised before any
+    # cast can emit a RuntimeWarning (warnings are errors here).
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", ["int32", "float32"])
+    def test_nan_weight_named(self, dtype):
+        with pytest.raises(GraphConstructionError, match=r"edge 1 \(1->0\).*is NaN"):
+            from_edge_list(2, [(0, 1, 1), (1, 0, float("nan"))], dtype=dtype)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [float("inf"), -float("inf")])
+    @pytest.mark.parametrize("dtype", ["int32", "float32"])
+    def test_infinite_weight_named(self, w, dtype):
+        with pytest.raises(GraphConstructionError, match="is infinite"):
+            from_edge_list(2, [(0, 1, w)], dtype=dtype)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [3e9, 2.0**31, -3e9])
+    def test_int32_overflow_named(self, w):
+        with pytest.raises(GraphConstructionError, match="outside the int32 range"):
+            from_edge_list(2, [(0, 1, w)], dtype="int32")
+
+    @pytest.mark.filterwarnings("error")
+    def test_int32_range_edges_kept(self):
+        g = from_edge_list(2, [(0, 1, 2**31 - 1)])
+        assert g.weights.tolist() == [2**31 - 1]
+        g = from_edge_list(2, [(0, 1, 3e9)], dtype="float32")
+        assert g.weights[0] == np.float32(3e9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_overflow_named(self):
+        with pytest.raises(GraphConstructionError, match="outside the float32 range"):
+            from_edge_list(2, [(0, 1, 1e39)], dtype="float32")
+
     def test_out_of_range_source(self):
         with pytest.raises(GraphConstructionError):
             from_edge_list(2, [(2, 0, 1)])
