@@ -247,12 +247,6 @@ class SolveRequest:
         and produces distances bit-identical to a from-scratch solve
         (see ``docs/dynamic.md``).  ``updates`` without ``warm_from``
         is rejected; ``warm_from`` alone asserts the graph is unchanged.
-    exec_mode:
-        Execution mode for ``accepts_exec_mode`` solvers: ``"events"``
-        (one event at a time, the default) or ``"batch"`` (fused
-        same-timestamp relaxation dispatches; see
-        :mod:`repro.core.batch`).  Simulated outputs are bit-identical
-        between the modes.
     options:
         Extra solver-specific keyword arguments, forwarded verbatim
         (e.g. ``cpu=``/``cost=`` for the CPU cost models).
@@ -269,7 +263,6 @@ class SolveRequest:
     scheduler: Optional[str] = None
     warm_from: Optional[np.ndarray] = None
     updates: Optional[object] = None  # EdgeDeltas; loose to avoid a cycle
-    exec_mode: Optional[str] = None
     options: Dict[str, object] = field(default_factory=dict)
 
 
@@ -297,8 +290,6 @@ class SolverInfo:
     accepts_scheduler: bool = False
     #: Accepts ``warm_from=``/``updates=`` incremental re-solve seeds.
     accepts_updates: bool = False
-    #: Accepts an ``exec_mode=`` (``"events"``/``"batch"``) selector.
-    accepts_exec_mode: bool = False
 
     def __call__(self, graph, source: int = 0, **kwargs) -> "SSSPResult":
         """Legacy keyword-style invocation (thin shim over :attr:`fn`).
@@ -361,13 +352,6 @@ class SolverInfo:
                 kwargs.setdefault("warm_from", request.warm_from)
             if request.updates is not None:
                 kwargs.setdefault("updates", request.updates)
-        if request.exec_mode is not None:
-            if not self.accepts_exec_mode:
-                raise SolverError(
-                    f"solver {self.name!r} does not take an exec_mode; "
-                    f"pick one of {solver_names(accepts_exec_mode=True)}"
-                )
-            kwargs.setdefault("exec_mode", request.exec_mode)
         return self.fn(request.graph, request.source, **kwargs)
 
 
@@ -385,13 +369,11 @@ def register_solver(
     accepts_config: bool = False,
     accepts_scheduler: bool = False,
     accepts_updates: bool = False,
-    accepts_exec_mode: bool = False,
 ) -> Callable:
     """Decorator registering a solver under its paper name.
 
-    The keyword flags declare capabilities once, at registration time —
-    they replace the ad-hoc ``GPU_SOLVERS``/``TRACEABLE_SOLVERS`` name
-    sets the harness and CLI used to hard-code.
+    The keyword flags declare capabilities once, at registration time;
+    :func:`solver_names` filters the registry by them.
     """
 
     def deco(fn: Callable) -> Callable:
@@ -406,7 +388,6 @@ def register_solver(
             accepts_config=accepts_config,
             accepts_scheduler=accepts_scheduler,
             accepts_updates=accepts_updates,
-            accepts_exec_mode=accepts_exec_mode,
         )
         return fn
 
@@ -440,7 +421,6 @@ def solver_names(
     accepts_config: Optional[bool] = None,
     accepts_scheduler: Optional[bool] = None,
     accepts_updates: Optional[bool] = None,
-    accepts_exec_mode: Optional[bool] = None,
 ) -> list:
     """Sorted registered names, filtered by capability flags.
 
@@ -460,8 +440,6 @@ def solver_names(
         if accepts_scheduler is not None and info.accepts_scheduler != accepts_scheduler:
             continue
         if accepts_updates is not None and info.accepts_updates != accepts_updates:
-            continue
-        if accepts_exec_mode is not None and info.accepts_exec_mode != accepts_exec_mode:
             continue
         out.append(name)
     return sorted(out)

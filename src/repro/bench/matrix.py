@@ -22,9 +22,8 @@ Three matrices are defined:
 
 ``large``
     A single million-vertex road grid × ADDS only — the paper's
-    road-USA regime scaled to what a host run can hold.  Meant for the
-    batch execution mode (``--exec-mode batch``), whose fused
-    dispatches are what make a graph this size tractable; the tiny
+    road-USA regime scaled to what a host run can hold (one repeat
+    takes seconds, not the medium matrix's sub-second cells).  The tiny
     frontier-to-thread ratio makes it the sharpest latency-bound probe
     in the harness.
 

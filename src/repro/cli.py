@@ -158,7 +158,6 @@ def cmd_solve(ns) -> int:
         cost=cost,
         delta=ns.delta,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
     )
     result = info.solve(request)
     if ns.json:
@@ -282,7 +281,6 @@ def cmd_bench(ns) -> int:
         spec=spec,
         cost=cost,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
         progress=progress,
         profile_dir=ns.profile,
     )
@@ -341,7 +339,6 @@ def cmd_serve_bench(ns) -> int:
         categories=ns.categories.split(",") if ns.categories else None,
         solver=ns.solver,
         scheduler=ns.scheduler,
-        window_s=ns.window,
         max_batch=ns.max_batch,
         cache_entries=ns.cache_entries,
         burst=ns.burst,
@@ -460,7 +457,6 @@ def cmd_check(ns) -> int:
         replay=not ns.no_replay,
         checker_factory=checker_factory,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
         progress=progress,
     )
     if ns.json:
@@ -543,16 +539,6 @@ def _add_scheduler_flag(p):
                         f"{DEFAULT_SCHEDULER!r}; see docs/scheduling.md)")
 
 
-def _add_exec_mode_flag(p):
-    p.add_argument("--exec-mode", dest="exec_mode",
-                   choices=["events", "batch"], default=None,
-                   help="simulator execution mode for exec-mode-accepting "
-                        "solvers: 'events' steps one block at a time, "
-                        "'batch' fuses same-timestamp relaxation dispatches "
-                        "(bit-identical outputs, no faster on the bench "
-                        "matrices; default 'events'; see docs/simulator.md)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro",
@@ -599,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json-dist", action="store_true",
                    help="include the full distance array in --json output")
     _add_scheduler_flag(s)
-    _add_exec_mode_flag(s)
     _add_device_flags(s)
     s.set_defaults(fn=cmd_solve)
 
@@ -651,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--json", action="store_true",
                    help="emit the report (plus compare verdict) as JSON")
     _add_scheduler_flag(b)
-    _add_exec_mode_flag(b)
     _add_device_flags(b)
     b.set_defaults(fn=cmd_bench)
 
@@ -671,9 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--solver", default="dijkstra",
                     choices=sorted(SOLVERS),
                     help="solver every query is answered with")
-    sv.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
-                    help="batching window recorded in the payload (the "
-                         "replay drains synchronously per burst)")
     sv.add_argument("--max-batch", type=int, default=32,
                     help="unique sources per dispatched batch")
     sv.add_argument("--cache-entries", type=int, default=64,
@@ -738,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--json", action="store_true",
                     help="emit the report as JSON")
     _add_scheduler_flag(ck)
-    _add_exec_mode_flag(ck)
     _add_device_flags(ck)
     ck.set_defaults(fn=cmd_check)
 

@@ -103,7 +103,6 @@ def _pool_blocks_for(graph: CSRGraph, config: AddsConfig) -> int:
     accepts_config=True,
     accepts_scheduler=True,
     accepts_updates=True,
-    accepts_exec_mode=True,
 )
 def solve_adds(
     graph: CSRGraph,
@@ -120,7 +119,6 @@ def solve_adds(
     scheduler: Optional[str] = None,
     warm_from: Optional[np.ndarray] = None,
     updates: Optional[object] = None,
-    exec_mode: Optional[str] = None,
 ) -> SSSPResult:
     """Run ADDS on the (simulated) GPU.
 
@@ -172,22 +170,9 @@ def solve_adds(
         interchangeable — to distances bit-identical to a from-scratch
         solve.  Works with any registered scheduler.  The predecessor
         tree is rebuilt only for re-relaxed vertices (``-1`` elsewhere).
-    exec_mode:
-        ``"events"`` (default): every block steps one event at a time.
-        ``"batch"``: same-timestamp WTB relaxation dispatches execute as
-        fused numpy operations over the concatenated frontiers (see
-        :mod:`repro.core.batch`); the event heap keeps sole authority
-        over every cross-block protocol point.  Simulated outputs —
-        distances, ``work_count``, ``time_us``, every metric — are
-        bit-identical between the modes; only host wall-clock differs.
     """
     spec, cost = resolve_device(spec, cost)
     config = config or AddsConfig()
-    exec_mode = exec_mode if exec_mode is not None else "events"
-    if exec_mode not in ("events", "batch"):
-        raise SolverError(
-            f"unknown exec_mode {exec_mode!r}: expected 'events' or 'batch'"
-        )
     if graph.num_vertices == 0:
         raise SolverError("cannot run SSSP on an empty graph")
     if updates is not None and warm_from is None:
@@ -318,16 +303,9 @@ def solve_adds(
     # (empty frontier: nothing to relax — the MTB terminates on its own)
 
     kernel = make_relax_kernel(state)
-    coord = None
-    if exec_mode == "batch":
-        from repro.core.batch import BatchCoordinator
-
-        coord = BatchCoordinator(state, kernel)
     device.add_block("MTB", mtb_program(state))
     for w in range(n_wtbs):
-        ctx = device.add_block(f"WTB{w}", wtb_program(state, w, kernel, coord))
-        if coord is not None:
-            coord.register(ctx, w)
+        device.add_block(f"WTB{w}", wtb_program(state, w, kernel))
     if tracer.enabled:
         # ADDS runs as one persistent kernel (MTB + WTBs, §5.1).
         tracer.instant(
@@ -396,15 +374,6 @@ def solve_adds(
         stats={
             **metrics.snapshot(),
             "scheduler": scheduler_name,
-            "exec_mode": exec_mode,
             "delta_trace": list(state.delta_trace),
-            **(
-                {
-                    "fused_groups": coord.fused_groups,
-                    "fused_blocks": coord.fused_blocks,
-                }
-                if coord is not None
-                else {}
-            ),
         },
     )

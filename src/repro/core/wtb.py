@@ -22,13 +22,8 @@ its memory effects land when the batch *finishes*, so concurrent WTBs
 genuinely race on the distance array and redundant work arises exactly as
 it does on hardware.
 
-The relaxation phase (steps 1–2) lives in :func:`make_relax_kernel` as
-array kernels split at the phase's protocol-visible seams, so the batch
-execution mode (:mod:`repro.core.batch`) can run several workers'
-phases as fused numpy operations at one timestamp.  The event-mode
-program runs the same kernels sequentially — both modes execute
-identical array operations against identical state, which is what keeps
-the simulated outputs bit-identical between them.
+The relaxation phase (steps 1–2) is the ``dispatch`` closure built by
+:func:`make_relax_kernel` once per solve and shared by every worker.
 """
 
 from __future__ import annotations
@@ -54,33 +49,15 @@ AF_STOP = 2
 
 
 def make_relax_kernel(state):
-    """The WTB relaxation phase as batchable array kernels.
+    """The WTB relaxation phase (claim, stale filter, expand, price,
+    atomic-min relax) as one ``dispatch(wid)`` closure.
 
-    Returns a namespace of closures sharing one set of per-solve hoisted
-    bindings (the int64/float64 CSR twins, the per-vertex adjacency
-    cache, the batch price memo):
-
-    - ``begin(wid)`` — decode the AF and read the assigned items (the
-      claim + the bucket read);
-    - ``expand(b)`` — stale-filter, expand the live frontier, price the
-      batch, and compute candidate distances (*reads* ``dist``);
-    - ``commit(e)`` — apply the atomic-min batch (*writes* ``dist``);
-    - ``commit_group(entries)`` — fuse several workers' batches whose
-      destination index sets are pairwise disjoint into **one**
-      ``atomic_min_batch`` call, recovering each worker's winner mask by
-      slicing.  Disjointness means the dedup never crosses worker
-      boundaries, so the sliced masks — and every metric the call bumps
-      — are bit-identical to per-worker ``commit`` calls;
-    - ``dispatch(wid)`` — the sequential composition
-      ``commit(expand(begin(wid)))`` used by the event-mode program and
-      by any batch-mode dispatch that could not be fused.
-
-    Entry layouts (plain tuples, hot path):
-    ``begin``  → ``(slot, start, end, epoch, k, verts, pushed)``;
-    ``expand``/``commit`` input → ``(slot, k, epoch, n_live, edges,
-    latency, nbytes, srcs, dsts, cand)``;
-    ``commit`` output → ``(slot, k, epoch, n_live, edges, latency,
-    nbytes, new_v, nw)``.
+    Returns a namespace whose ``dispatch`` shares one set of per-solve
+    hoisted bindings (the int64/float64 CSR twins, the per-vertex
+    adjacency cache, the batch price memo) and returns the plain tuple
+    ``(slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)``.
+    ``wtb_program`` reads ``dispatch`` off the namespace, so the traced
+    benchmark (``perfbench/spans.py``) can wrap it by attribute.
     """
     dev = state.device
     cost = dev.cost
@@ -100,7 +77,7 @@ def make_relax_kernel(state):
     exp_graph = SimpleNamespace(
         row_offsets=graph.row_offsets, col_indices=col64, weights=w64
     )
-    # Hoisted hot-path lookups: these closures run once per assignment,
+    # Hoisted hot-path lookups: dispatch runs once per assignment,
     # tens of thousands of times per solve.
     af_slot_item = state.af_slot.item
     af_start_item = state.af_start.item
@@ -121,7 +98,8 @@ def make_relax_kernel(state):
     # states without the field keep working
     checker = getattr(state, "checker", None)
 
-    def begin(wid: int):
+    def dispatch(wid: int):
+        # claim: decode the AF and read the assigned items
         slot = af_slot_item(wid)
         start = af_start_item(wid)
         end = af_end_item(wid)
@@ -132,10 +110,6 @@ def make_relax_kernel(state):
             # exactly what the MTB assigned, in the epoch it was made
             checker.on_claim(wid, slot, start, end, epoch)
         verts, pushed = read_items(slot, start, end)
-        return (slot, start, end, epoch, k, verts, pushed)
-
-    def expand(b):
-        slot, start, end, epoch, k, verts, pushed = b
         if adj is not None and k <= 12:
             # Fused scalar path for small chunks (the dominant shape on
             # mesh/road graphs): one pass does the stale check and gathers
@@ -192,64 +166,24 @@ def make_relax_kernel(state):
         # when the push instructions + WCC increments execute, i.e. after
         # the batch's duration.
         state.work_count += n_live
-        if edges:
-            cand = dist[srcs] + ws
-        else:
-            srcs = dsts = cand = None
-        return (slot, k, epoch, n_live, edges, latency, nbytes, srcs, dsts, cand)
-
-    def commit(e):
-        slot, k, epoch, n_live, edges, latency, nbytes, srcs, dsts, cand = e
         nw = 0
         new_v = None
         if edges:
             winners = atomic_min_batch(
-                dist, dsts, cand, payload=srcs, payload_out=pred_out
+                dist, dsts, dist[srcs] + ws, payload=srcs, payload_out=pred_out
             )
             new_v = dsts[winners]
             nw = int(new_v.size)
         return (slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)
 
-    def commit_group(entries):
-        # entries all have edges > 0 and pairwise-disjoint dst sets (the
-        # batch coordinator's conflict grouping guarantees it)
-        winners = atomic_min_batch(
-            dist,
-            concatenate([e[8] for e in entries]),
-            concatenate([e[9] for e in entries]),
-            payload=concatenate([e[7] for e in entries]),
-            payload_out=pred_out,
-        )
-        out = []
-        off = 0
-        for e in entries:
-            edges = e[4]
-            new_v = e[8][winners[off:off + edges]]
-            off += edges
-            out.append(
-                (e[0], e[1], e[2], e[3], edges, e[5], e[6], new_v, int(new_v.size))
-            )
-        return out
-
-    def dispatch(wid: int):
-        return commit(expand(begin(wid)))
-
-    return SimpleNamespace(
-        begin=begin,
-        expand=expand,
-        commit=commit,
-        commit_group=commit_group,
-        dispatch=dispatch,
-    )
+    return SimpleNamespace(dispatch=dispatch)
 
 
-def wtb_program(state, wid: int, kernel=None, coord=None):
+def wtb_program(state, wid: int, kernel=None):
     """Generator program for worker ``wid`` over the shared solver state.
 
     ``kernel`` is a shared :func:`make_relax_kernel` namespace (built
-    per-worker when omitted, for hand-built test states); ``coord`` is
-    the :class:`~repro.core.batch.BatchCoordinator` in batch execution
-    mode, or ``None`` for pure event stepping.
+    per-worker when omitted, for hand-built test states).
     """
     dev = state.device
     q = state.queue
@@ -260,8 +194,6 @@ def wtb_program(state, wid: int, kernel=None, coord=None):
     if kernel is None:
         kernel = make_relax_kernel(state)
     dispatch = kernel.dispatch
-    take = coord.take if coord is not None else None
-    arm = coord.arm if coord is not None else None
     assigned = lambda: af_state[wid] != AF_IDLE  # noqa: E731 - hot predicate
     # Wake channel for the assignment flag: the MTB notifies ("af", wid)
     # when it writes this worker's AF, so the engine re-evaluates the
@@ -280,19 +212,11 @@ def wtb_program(state, wid: int, kernel=None, coord=None):
     af_edges = state.af_edges
 
     while True:
-        if arm is not None:
-            # Tell the coordinator the next event for this block is a
-            # dispatch resume: while armed + assigned, its heap entry is
-            # eligible for same-timestamp fusion.
-            arm(wid)
         yield ("wait", assigned, af_key)
         if af_state[wid] == AF_STOP:
             return
 
-        res = take(wid) if take is not None else None
-        if res is None:
-            res = dispatch(wid)
-        slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw = res
+        slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw = dispatch(wid)
 
         if trace_on:
             dev.annotate(

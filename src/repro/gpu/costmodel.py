@@ -216,12 +216,8 @@ class CostModel:
     ) -> tuple:
         """``(latency cycles, DRAM bytes)`` of one WTB batch, memoized.
 
-        Solo dispatches and fused multi-worker dispatches both price each
-        worker's batch through this one memo, so batch execution can
-        never drift the simulated cost attribution: a worker's relax
-        event carries the same (latency, bytes) pair whichever mode ran
-        it.  Memoized because edge counts repeat heavily (chunk sizes ×
-        a bounded degree mix) and this sits on the per-dispatch hot path.
+        Memoized because edge counts repeat heavily (chunk sizes × a
+        bounded degree mix) and this sits on the per-dispatch hot path.
         """
         key = (edges, avg_degree, float_weights)
         memo = self._batch_price_memo

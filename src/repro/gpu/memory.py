@@ -127,8 +127,8 @@ class SimMemory:
         64-bit packed (distance, predecessor) update GPU SSSP kernels use
         to keep the shortest-path tree consistent with the distances.
 
-        **Fused-call contract** (the batch execution mode relies on it):
-        for index sets that are disjoint *across* sub-batches, one call
+        **Fused-call contract**: dedup never crosses an index, so for
+        index sets that are disjoint *across* sub-batches, one call
         over the concatenation is bit-equivalent to the sequential
         per-sub-batch calls — each concatenated slice of the winner mask
         equals the solo mask, ``arr``/``payload_out`` land identically,

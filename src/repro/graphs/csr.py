@@ -290,14 +290,10 @@ def from_edge_list(
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise GraphConstructionError("edges must be (m, 3) of (src, dst, weight)")
+    _check_ids(arr, num_vertices)
     src = arr[:, 0].astype(np.int64)
     dst = arr[:, 1].astype(np.int64)
     w = arr[:, 2]
-    if arr.shape[0]:
-        if src.min() < 0 or src.max() >= num_vertices:
-            raise GraphConstructionError("edge source out of range")
-        if dst.min() < 0 or dst.max() >= num_vertices:
-            raise GraphConstructionError("edge destination out of range")
     if negate_negative_weights:
         w = np.abs(w)
     wdt = np.dtype(dtype)
@@ -327,6 +323,31 @@ def from_edge_list(
         col_indices=dst.astype(np.int32),
         weights=wout,
         name=name,
+    )
+
+
+def _check_ids(arr: np.ndarray, num_vertices: int) -> None:
+    """Reject vertex ids that are not whole numbers in
+    ``[0, num_vertices)``, naming the first offending input edge, before
+    the int64 cast can truncate (``-0.5`` -> 0) or warn (NaN, inf)."""
+    ids = arr[:, :2]
+    with np.errstate(invalid="ignore"):
+        ok = (ids == np.floor(ids)) & (ids >= 0) & (ids < num_vertices)
+    if ok.all():
+        return
+    i, col = (int(x) for x in np.argwhere(~ok)[0])
+    v = ids[i, col]
+    if np.isnan(v):
+        fault = "is NaN"
+    elif np.isinf(v):
+        fault = "is infinite"
+    elif v != np.floor(v):
+        fault = "is not a whole number"
+    else:
+        fault = f"is out of range for {num_vertices} vertices"
+    raise GraphConstructionError(
+        f"edge {i} ({ids[i, 0]:g}->{ids[i, 1]:g}): "
+        f"{('source', 'destination')[col]} id {v:g} {fault}"
     )
 
 

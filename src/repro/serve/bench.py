@@ -134,7 +134,6 @@ def run_serve_bench(
     categories: Optional[List[str]] = None,
     solver: str = "dijkstra",
     scheduler: Optional[str] = None,
-    window_s: float = 0.0,
     max_batch: int = 32,
     cache_entries: int = 64,
     burst: int = 32,
@@ -155,8 +154,7 @@ def run_serve_bench(
     a handful of quarter-scale suite graphs and the ``dijkstra`` CPU
     reference.  ``burst`` is how many submissions accumulate before each
     synchronous drain — the deterministic stand-in for the wall-clock
-    window an asynchronous session would use (``window_s`` is recorded
-    in the payload but the replay never sleeps).
+    window an asynchronous session would use (the replay never sleeps).
 
     ``updates > 0`` turns the replay into a sustained **update + query
     mix**: per graph, ``updates`` edge-update batches of ``update_size``
@@ -193,7 +191,6 @@ def run_serve_bench(
         session = Session(
             solver=solver,
             scheduler=scheduler,
-            window_s=window_s,
             max_batch=max_batch,
             max_pending=max(burst * 2, 64),
             cache_entries=cache_entries,
@@ -380,7 +377,6 @@ def run_serve_bench(
             "categories": categories,
             "solver": solver,
             "scheduler": scheduler,
-            "window_s": window_s,
             "max_batch": max_batch,
             "cache_entries": cache_entries,
             "burst": burst,

@@ -10,8 +10,11 @@ import pytest
 
 from repro.baselines import davidson_delta, solve_nf
 from repro.core import AddsConfig, solve_adds
+from repro.dynamic import EdgeDeltas
 from repro.errors import SolverError
-from repro.graphs import from_edge_list
+from repro.graphs import from_edge_list, grid_road
+
+SCHEDULERS = ("bucket", "mlmq")
 
 
 class TestConfigHandling:
@@ -168,3 +171,31 @@ class TestDeviceChoice:
             small_rmat, 0, spec=sim_gpu(RTX_3090), cost=sim_cost(sim_gpu(RTX_3090))
         ).time_us
         assert t3090 <= t2080 * 1.05
+
+
+class TestDegenerateInputs:
+    """Solves where the WTBs have nothing, or almost nothing, to relax."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_empty_dirty_frontier(self, scheduler):
+        # a warm start with no edge changes seeds nothing: the MTB must
+        # terminate on its own at the same fixpoint
+        g = grid_road(10, 10, seed=9)
+        warm = solve_adds(g, 0, scheduler=scheduler).dist
+        res = solve_adds(
+            g, 0, scheduler=scheduler,
+            warm_from=warm, updates=EdgeDeltas.empty(),
+        )
+        np.testing.assert_array_equal(res.dist, warm)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_single_vertex(self, scheduler):
+        r = solve_adds(from_edge_list(1, []), 0, scheduler=scheduler)
+        assert r.dist[0] == 0.0
+        assert r.work_count == 1
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_single_vertex_self_loop(self, scheduler):
+        g = from_edge_list(1, [(0, 0, 3)])
+        r = solve_adds(g, 0, scheduler=scheduler)
+        assert r.dist[0] == 0.0

@@ -100,14 +100,6 @@ class TestCapabilityFlags:
         assert "adds" in names and "cpu-ds" in names
         assert "gun-bf" not in names
 
-    def test_deprecated_name_sets_still_importable(self):
-        from repro import harness
-
-        assert harness.GPU_SOLVERS == frozenset(solver_names(needs_device=True))
-        assert harness.TRACEABLE_SOLVERS == frozenset(solver_names(traceable=True))
-        with pytest.raises(AttributeError):
-            harness.NO_SUCH_SET
-
     def test_registry_values_are_callable(self):
         for name, info in SOLVERS.items():
             assert callable(info)

@@ -151,8 +151,7 @@ class TestAtomicMinBatch:
     def test_fused_call_contract(self, mem, sizes):
         """One call over a disjoint-across-sub-batch concatenation must be
         bit-equivalent to the sequential per-sub-batch calls — winner mask
-        slices, array contents, payload and atomics counter alike (the
-        batch execution mode's commit fusion rests on this)."""
+        slices, array contents, payload and atomics counter alike."""
         rng = np.random.default_rng(7)
         n_vert = sum(sizes) * 2
         # disjoint index pools per sub-batch; duplicates *within* each one

@@ -9,6 +9,9 @@ from repro.errors import GraphConstructionError
 from repro.graphs import CSRGraph, from_edge_list
 from repro.graphs.csr import INF_FLOAT32, INF_INT32, expand_frontier
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestFromEdgeList:
     def test_basic_construction(self, tiny_graph):
@@ -85,6 +88,34 @@ class TestFromEdgeList:
     def test_float32_overflow_named(self):
         with pytest.raises(GraphConstructionError, match="outside the float32 range"):
             from_edge_list(2, [(0, 1, 1e39)], dtype="float32")
+
+    # Vertex-id faults: checked before the int64 cast, which would
+    # truncate fractions (-0.5 -> vertex 0) and warn on NaN/inf.
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edge, match",
+        [
+            ((0.5, 1, 1), r"edge 1 \(0.5->1\): source id 0.5 is not a whole number"),
+            ((0, 1.9, 1), r"edge 1 \(0->1.9\): destination id 1.9 is not a whole"),
+            ((-0.5, 1, 1), r"edge 1 \(-0.5->1\): source id -0.5 is not a whole"),
+            ((NAN, 1, 1), r"edge 1 \(nan->1\): source id nan is NaN"),
+            ((0, NAN, 1), r"edge 1 \(0->nan\): destination id nan is NaN"),
+            ((INF, 1, 1), r"edge 1 \(inf->1\): source id inf is infinite"),
+            ((0, -INF, 1), r"edge 1 \(0->-inf\): destination id -inf is infinite"),
+            ((1e30, 0, 1), r"edge 1 \(1e\+30->0\): source id 1e\+30 is out of range"),
+        ],
+        ids=["frac-src", "frac-dst", "neg-frac", "nan-src", "nan-dst",
+             "inf-src", "neg-inf-dst", "huge"],
+    )
+    def test_bad_vertex_id_named(self, edge, match):
+        with pytest.raises(GraphConstructionError, match=match):
+            from_edge_list(2, [(1, 0, 1), edge])
+
+    @pytest.mark.filterwarnings("error")
+    def test_whole_float_vertex_ids_accepted(self):
+        g = from_edge_list(2, np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 2.0]]))
+        assert g.col_indices.tolist() == [1, 0]
 
     def test_out_of_range_source(self):
         with pytest.raises(GraphConstructionError):
